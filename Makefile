@@ -50,11 +50,15 @@ bench-concurrent:
 # under the race detector with a 100k queries/s floor. The plain run drives
 # the batched recvmmsg/sendmmsg path with 8-datagram client bursts and gates
 # the hot-path regressions: ≥600k queries/s, ≤0.25 server syscalls per
-# query, zero allocations per batched serve cycle. Writes the headline
-# BENCH_timeserve.json (plain, batched) and BENCH_timeserve_race.json.
+# query. Writes the headline BENCH_timeserve.json (plain, batched) and
+# BENCH_timeserve_race.json. Zero allocations on the serve path (codecs,
+# batched serve cycle, leased read) and per oracle check are gated by the
+# AllocFree tests, which the race step skips, so they run here without the
+# race detector.
 loadtest:
 	$(GO) run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
-	$(GO) run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -max-allocs-per-op 0 -json BENCH_timeserve.json
+	$(GO) run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -json BENCH_timeserve.json
+	$(GO) test -count=1 -run 'AllocFree$$' ./internal/timeserve ./internal/core ./internal/oracle
 
 # campaign-smoke runs two 100-node campaign cells (churn + drift outliers);
 # each self-gates on zero group-clock regressions, zero staleness-bound

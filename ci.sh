@@ -48,9 +48,13 @@ go run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_t
 
 echo "== ctsload batched kernel I/O (BENCH_timeserve.json) =="
 # Plain-mode run over the recvmmsg/sendmmsg path with 8-datagram bursts;
-# gates throughput, server syscalls per query, and allocations per batched
-# serve cycle.
-go run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -max-allocs-per-op 0 -json BENCH_timeserve.json
+# gates throughput and server syscalls per query.
+go run ./cmd/ctsload -inprocess -duration 5s -dgrams 8 -min-qps 600000 -max-syscalls-per-query 0.25 -json BENCH_timeserve.json
+
+echo "== zero-allocation gates (AllocFree tests, no race detector) =="
+# The race step skips these: allocs/op under race instrumentation is not
+# the program's. Codecs, batched serve cycle, leased read, oracle check.
+go test -count=1 -run 'AllocFree$' ./internal/timeserve ./internal/core ./internal/oracle
 
 echo "== ctsload forced-sequential fallback (-serve-io seq) =="
 # Batching force-disabled end to end: the sequential path must still hold

@@ -13,14 +13,11 @@
 //	ctsload -inprocess -duration 5s -min-qps 100000
 //
 // Each worker keeps its own UDP client and batches -batch queries per
-// datagram. Two invariants are checked on every response, using only
-// happened-before ordering (no global clock):
-//
-//   - staleness: a reading's interval [group−bound, group+bound] must reach
-//     the highest lower bound of any reading that completed before this one
-//     was sent — otherwise the advertised bound lies.
-//   - per-replica monotonicity: a replica's group clock must never run
-//     backwards between two of its responses ordered by the client.
+// datagram. Every response is checked by internal/oracle, using only
+// happened-before ordering (no global clock): a worker snapshots the floors
+// before each exchange, and a response must reach the highest lower bound
+// of any reading that completed before it was sent (staleness) and the
+// highest group clock its replica served before then (regression).
 //
 // The run fails (exit 1) on any violation, or when -min-qps is set and not
 // met. -json writes a machine-readable result (default BENCH_timeserve.json).
@@ -45,8 +42,8 @@ import (
 
 	"cts"
 	"cts/internal/federation"
+	"cts/internal/oracle"
 	"cts/internal/stats"
-	"cts/internal/testutil"
 	"cts/internal/timeserve"
 	"cts/internal/transport"
 	"cts/internal/udptransport"
@@ -71,7 +68,6 @@ func main() {
 		duration  = flag.Duration("duration", 5*time.Second, "measurement duration")
 		minQPS    = flag.Float64("min-qps", 0, "fail unless sustained queries/s reaches this (0 disables)")
 		maxSPQ    = flag.Float64("max-syscalls-per-query", 0, "fail if server-side syscalls per query exceed this (0 disables; needs -inprocess)")
-		maxAllocs = flag.Float64("max-allocs-per-op", -1, "fail if the batched serve cycle allocates more than this per op (-1 disables)")
 		jsonOut   = flag.String("json", "BENCH_timeserve.json", "write machine-readable results here (empty disables)")
 		seed      = flag.Int64("seed", 2003, "run label recorded in the result JSON (the live loop has no simulation RNG)")
 	)
@@ -81,7 +77,7 @@ func main() {
 		shards: *shards, lease: *lease, mode: *mode, rate: *rate,
 		workers: *workers, batch: *batch, dgrams: *dgrams, serveIO: *serveIO,
 		duration: *duration, minQPS: *minQPS, maxSPQ: *maxSPQ,
-		maxAllocs: *maxAllocs, jsonOut: *jsonOut, seed: *seed,
+		jsonOut: *jsonOut, seed: *seed,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "ctsload:", err)
 		os.Exit(1)
@@ -104,127 +100,8 @@ type config struct {
 	duration  time.Duration
 	minQPS    float64
 	maxSPQ    float64
-	maxAllocs float64
 	jsonOut   string
 	seed      int64
-}
-
-// checker verifies the lease invariants across all workers. Both checks use
-// only happened-before ordering: a floor value is compared against a
-// response only when the floor was recorded BEFORE that response's request
-// was sent, so the server-side read it reflects strictly preceded ours.
-// Comparing responses by receipt order across workers would be unsound —
-// receipt order is not generation order.
-type checker struct {
-	// lowerFloor is the highest (group − bound) of any completed reading:
-	// readings sent after that completion must advertise intervals reaching
-	// it. It is global across replica groups — with -fed-groups this is the
-	// federation's promise, since every group's advertised bound folds the
-	// inter-group slack.
-	lowerFloor atomic.Int64
-	// nodes holds one served-clock floor per replica, for the per-replica
-	// regression check. The entry list only grows; workers snapshot it
-	// lock-free via the atomic pointer.
-	mu       sync.Mutex
-	nodeList atomic.Pointer[[]nodeEntry]
-
-	stalenessViolations  atomic.Uint64
-	regressionViolations atomic.Uint64
-}
-
-// nodeEntry keys the per-replica floor by (group, node), never node alone:
-// the wire response's node id is only unique within one replica group, so a
-// worker migrating across federated groups would otherwise fold two distinct
-// replicas' clocks into one floor and flag phantom regressions (or mask real
-// ones). The group here is the client-side identity of the group whose
-// frontend was queried — the response itself does not carry one.
-type nodeEntry struct {
-	group uint32
-	node  uint32
-	clock *atomic.Int64
-}
-
-// snapshot is a worker-local pre-send view of every floor. Buffers are
-// reused across exchanges.
-type snapshot struct {
-	floor   int64
-	entries []nodeEntry
-	clocks  []int64
-}
-
-// preSend records the floors a subsequent response must respect.
-func (c *checker) preSend(s *snapshot) {
-	s.floor = c.lowerFloor.Load()
-	s.entries = nil
-	if p := c.nodeList.Load(); p != nil {
-		s.entries = *p
-	}
-	s.clocks = s.clocks[:0]
-	for _, e := range s.entries {
-		s.clocks = append(s.clocks, e.clock.Load())
-	}
-}
-
-func (c *checker) nodeFloor(group, node uint32) *atomic.Int64 {
-	if p := c.nodeList.Load(); p != nil {
-		for _, e := range *p {
-			if e.group == group && e.node == node {
-				return e.clock
-			}
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var entries []nodeEntry
-	if p := c.nodeList.Load(); p != nil {
-		entries = *p
-		for _, e := range entries {
-			if e.group == group && e.node == node {
-				return e.clock
-			}
-		}
-	}
-	clock := new(atomic.Int64)
-	grown := append(append([]nodeEntry(nil), entries...), nodeEntry{group: group, node: node, clock: clock})
-	c.nodeList.Store(&grown)
-	return clock
-}
-
-// onResponse validates one leased response against the pre-send snapshot
-// and folds it into the floors. group identifies the replica group whose
-// frontend answered (always 0 for single-group runs).
-func (c *checker) onResponse(group uint32, r timeserve.Response, pre *snapshot) {
-	g, b := int64(r.Group), int64(r.Bound)
-	if g+b < pre.floor {
-		c.stalenessViolations.Add(1)
-	}
-	for i, e := range pre.entries {
-		if e.group == group && e.node == r.Node {
-			if g < pre.clocks[i] {
-				c.regressionViolations.Add(1)
-			}
-			break
-		}
-	}
-	nf := c.nodeFloor(group, r.Node)
-	for {
-		prev := nf.Load()
-		if g <= prev {
-			break
-		}
-		if nf.CompareAndSwap(prev, g) {
-			break
-		}
-	}
-	for {
-		prev := c.lowerFloor.Load()
-		if g-b <= prev {
-			break
-		}
-		if c.lowerFloor.CompareAndSwap(prev, g-b) {
-			break
-		}
-	}
 }
 
 // result is the machine-readable run record. Scenario and Seed identify
@@ -253,11 +130,7 @@ type result struct {
 	// query across the in-process replicas (-1 when the servers are remote
 	// and the counters unreachable).
 	SyscallsPerQuery float64 `json:"syscalls_per_query"`
-	// AllocsPerOp is the measured heap allocations per batched
-	// drain-serve cycle (-1 when the build lacks the batched path or the
-	// race detector perturbs the measurement).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Violations  struct {
+	Violations       struct {
 		Staleness  uint64 `json:"staleness"`
 		Regression uint64 `json:"regression"`
 	} `json:"violations"`
@@ -317,7 +190,7 @@ func run(cfg config) error {
 	fmt.Printf("ctsload: %s loop, %d workers x %d datagram(s) x batch %d against %d target(s) in %d group(s) for %v\n",
 		cfg.mode, cfg.workers, cfg.dgrams, cfg.batch, ntargets, len(targetsByGroup), cfg.duration)
 
-	chk := &checker{}
+	orc := oracle.New()
 	var (
 		queries  atomic.Uint64
 		errs     atomic.Uint64
@@ -367,7 +240,7 @@ func run(cfg config) error {
 				interval = time.Duration(float64(cfg.batch*cfg.dgrams) / perWorker * float64(time.Second))
 			}
 			next := time.Now()
-			var pre snapshot
+			var pre oracle.Snapshot
 			gidx := w % len(clis)
 			for !stop.Load() {
 				if interval > 0 {
@@ -377,7 +250,7 @@ func run(cfg config) error {
 					}
 				}
 				cli := clis[gidx]
-				chk.preSend(&pre)
+				orc.Snapshot(&pre)
 				t0 := time.Now()
 				var resps []timeserve.Response
 				var err error
@@ -400,7 +273,9 @@ func run(cfg config) error {
 						continue
 					}
 					served++
-					chk.onResponse(uint32(gidx), r, &pre)
+					// The response's node id is unique only within its group;
+					// gidx names the group whose frontend answered.
+					orc.Check(orc.Key(uint32(gidx), r.Node), r.Group, r.Bound, &pre)
 				}
 				queries.Add(served)
 				gidx++
@@ -451,9 +326,7 @@ func run(cfg config) error {
 	res.QPS = float64(res.Queries) / elapsed.Seconds()
 	res.Errors = errs.Load()
 	res.SyscallsPerQuery = syscallsPerQuery
-	res.AllocsPerOp = measureAllocs()
-	res.Violations.Staleness = chk.stalenessViolations.Load()
-	res.Violations.Regression = chk.regressionViolations.Load()
+	res.Violations.Staleness, res.Violations.Regression = orc.Counts()
 	if all.N() > 0 {
 		res.LatencyUS.P50 = float64(all.Percentile(50)) / float64(time.Microsecond)
 		res.LatencyUS.P99 = float64(all.Percentile(99)) / float64(time.Microsecond)
@@ -464,8 +337,7 @@ func run(cfg config) error {
 		res.Queries, elapsed.Round(time.Millisecond), res.QPS, res.Errors, res.BatchMode)
 	fmt.Printf("ctsload: latency per batched exchange p50=%.0fµs p99=%.0fµs p999=%.0fµs (%d samples)\n",
 		res.LatencyUS.P50, res.LatencyUS.P99, res.LatencyUS.P999, all.N())
-	fmt.Printf("ctsload: syscalls/query=%s allocs/op=%s\n",
-		fmtGauge(res.SyscallsPerQuery), fmtGauge(res.AllocsPerOp))
+	fmt.Printf("ctsload: syscalls/query=%s\n", fmtGauge(res.SyscallsPerQuery))
 	fmt.Printf("ctsload: violations: staleness=%d regression=%d\n",
 		res.Violations.Staleness, res.Violations.Regression)
 
@@ -491,14 +363,6 @@ func run(cfg config) error {
 		return fmt.Errorf("server issued %.3f syscalls/query, above -max-syscalls-per-query %.3f",
 			res.SyscallsPerQuery, cfg.maxSPQ)
 	}
-	if cfg.maxAllocs >= 0 {
-		if res.AllocsPerOp < 0 {
-			fmt.Println("ctsload: allocs/op gate skipped (no batched path on this build, or race detector active)")
-		} else if res.AllocsPerOp > cfg.maxAllocs {
-			return fmt.Errorf("batched serve cycle allocates %.2f allocs/op, above -max-allocs-per-op %.2f",
-				res.AllocsPerOp, cfg.maxAllocs)
-		}
-	}
 	return nil
 }
 
@@ -521,16 +385,6 @@ func batchMode(fl *fleet, cliPaths []string, dgrams int) string {
 		}
 	}
 	return mode
-}
-
-// measureAllocs probes the batched serve cycle's allocations per operation;
-// -1 when unmeasurable (no batched path, or the race detector inflates
-// allocation counts).
-func measureAllocs() float64 {
-	if testutil.RaceEnabled {
-		return -1
-	}
-	return timeserve.ServeAllocsPerOp()
 }
 
 // fmtGauge renders a measured-or-unavailable gauge for the summary line.

@@ -6,6 +6,7 @@ import (
 
 	"cts/internal/federation"
 	"cts/internal/obs"
+	"cts/internal/oracle"
 	"cts/internal/order"
 	"cts/internal/sim"
 	"cts/internal/transport"
@@ -200,61 +201,48 @@ type FedResult struct {
 	Failures      []string   `json:"failures,omitempty"`
 }
 
-// groupNode identifies one replica across the whole federation. Keying
-// monitor state by node id alone would collide across groups (the ctsload
-// floor bug this sweep fixes); the pair is the only safe key.
-type groupNode struct {
-	group wire.GroupID
-	node  transport.NodeID
-}
-
 // fedMonitor is the migrating client: each pass it reads every replica of
-// every group and holds all of them to ONE happened-before floor — exactly
-// what a client roaming across group boundaries observes. Regression state
-// is per (group, node); the staleness floor is global, which is the
-// federation's whole promise: a reading served anywhere, plus its bound,
-// must cover the most advanced lower bound served anywhere else in an
-// earlier pass.
+// every group and holds all of them to ONE happened-before oracle — exactly
+// what a client roaming across group boundaries observes. The staleness
+// floor is global, which is the federation's whole promise: a reading
+// served anywhere, plus its bound, must cover the most advanced lower bound
+// served anywhere else in an earlier pass. Regression floors are keyed by
+// (group, node), since node ids alone could collide across groups. The
+// monitor itself keeps the bound statistics and the seams.
 type fedMonitor struct {
-	floor    time.Duration
-	lastSeen map[groupNode]time.Duration
-	m        FedMetrics
+	orc   *oracle.Oracle
+	snap  oracle.Snapshot
+	seams []seamPoint // by group, reset every pass
+	m     FedMetrics
 
 	gate          FedGates
 	faultEnd      time.Duration // heal instant (or start, with no sever)
 	reconvergedAt time.Duration
 }
 
-func newFedMonitor(gate FedGates) *fedMonitor {
-	return &fedMonitor{lastSeen: make(map[groupNode]time.Duration), gate: gate, reconvergedAt: -1}
+// seamPoint is the first reading a pass took from one group.
+type seamPoint struct {
+	clock, bound time.Duration
+	ok           bool
+}
+
+func newFedMonitor(gate FedGates, groups int) *fedMonitor {
+	return &fedMonitor{orc: oracle.New(), seams: make([]seamPoint, groups), gate: gate, reconvergedAt: -1}
 }
 
 // sample runs one monitor pass over all groups between kernel steps.
 func (mo *fedMonitor) sample(groups []*deployment, now time.Duration) {
-	passMax := mo.floor
-	type seamPoint struct {
-		clock, bound time.Duration
-		ok           bool
-	}
-	seams := make([]seamPoint, len(groups))
+	mo.orc.Snapshot(&mo.snap)
+	seams := mo.seams
 	for gi, d := range groups {
+		seams[gi] = seamPoint{}
 		for _, nd := range d.nodes {
 			r, ok := nd.svc.LeaseRead()
 			if !ok {
 				continue
 			}
 			mo.m.Samples++
-			key := groupNode{group: d.group, node: nd.id}
-			if last, seen := mo.lastSeen[key]; seen && r.GroupClock < last {
-				mo.m.Regressions++
-			}
-			mo.lastSeen[key] = r.GroupClock
-			if r.GroupClock+r.Bound < mo.floor {
-				mo.m.StalenessViolations++
-			}
-			if lo := r.GroupClock - r.Bound; lo > passMax {
-				passMax = lo
-			}
+			mo.orc.Check(mo.orc.Key(uint32(d.group), uint32(nd.id)), r.GroupClock, r.Bound, &mo.snap)
 			bound := float64(r.Bound) / float64(time.Microsecond)
 			if bound > mo.m.MaxBoundUS {
 				mo.m.MaxBoundUS = bound
@@ -265,7 +253,6 @@ func (mo *fedMonitor) sample(groups []*deployment, now time.Duration) {
 			}
 		}
 	}
-	mo.floor = passMax
 
 	// Seam checks: adjacent groups must publish overlapping intervals, and
 	// their clock skew is the convergence signal.
@@ -304,6 +291,7 @@ func (mo *fedMonitor) finish() {
 	if mo.m.Samples > 0 {
 		mo.m.MeanBoundUS /= float64(mo.m.Samples)
 	}
+	mo.m.StalenessViolations, mo.m.Regressions = mo.orc.Counts()
 }
 
 // RunFederated executes one federated cell: Groups intra-group deployments
@@ -412,54 +400,20 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 		}
 		return true
 	}
-	refreshAll()
-	primeDeadline := k.Now() + 200*time.Millisecond + 20*spec.refreshEvery()
-	for k.Now() < primeDeadline {
-		k.RunFor(spec.refreshEvery())
-		refreshAll()
-		if allPrimed() {
-			break
-		}
-	}
-	if !allPrimed() {
+	if !prime(k, spec.refreshEvery(), refreshAll, allPrimed) {
 		return FedResult{}, fmt.Errorf("campaign: %q: lease planes did not prime", spec.Name)
 	}
 
-	mo := newFedMonitor(spec.Gates)
+	mo := newFedMonitor(spec.Gates, len(groups))
 	mo.faultEnd = healAt
 	end := start + spec.Duration
-
-	refreshEvery := spec.refreshEvery()
-	var refreshLoop func()
-	refreshLoop = func() {
-		refreshAll()
-		if k.Now()+refreshEvery <= end {
-			k.After(refreshEvery, refreshLoop)
-		}
-	}
-	k.After(refreshEvery, refreshLoop)
-
-	exchangeEvery := spec.exchangeEvery()
-	var exchangeLoop func()
-	exchangeLoop = func() {
+	every(k, spec.refreshEvery(), end, refreshAll)
+	every(k, spec.exchangeEvery(), end, func() {
 		for _, a := range agents {
 			a.ExchangeTick()
 		}
-		if k.Now()+exchangeEvery <= end {
-			k.After(exchangeEvery, exchangeLoop)
-		}
-	}
-	k.After(exchangeEvery, exchangeLoop)
-
-	sampleEvery := spec.sampleEvery()
-	for k.Now() < end {
-		step := sampleEvery
-		if left := end - k.Now(); left < step {
-			step = left
-		}
-		k.RunFor(step)
-		mo.sample(groups, k.Now())
-	}
+	})
+	sampleUntil(k, spec.sampleEvery(), end, func(now time.Duration) { mo.sample(groups, now) })
 	mo.finish()
 
 	res := FedResult{

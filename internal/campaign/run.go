@@ -3,6 +3,9 @@ package campaign
 import (
 	"fmt"
 	"time"
+
+	"cts/internal/oracle"
+	"cts/internal/sim"
 )
 
 // Metrics are one cell's plot-ready measurements. Everything is derived
@@ -50,43 +53,38 @@ type Result struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-// monitor folds lease samples into gate counters. The staleness check is
-// the load-generator's argument (see ctsload): the true group clock only
-// advances, so the highest lower bound (GroupClock−Bound) ever served is a
-// floor every later reading's upper bound must clear. Like ctsload, the
-// comparison is happened-before only — a reading is checked against the
-// floor recorded before its sample pass began, never against readings from
-// the same instant on other nodes. Lease bounds are honest about each
+// monitor holds a cell's lease samples to the promise through
+// internal/oracle and keeps the cell's statistics (bounds, cross-node
+// spread, reconvergence). One sample pass reads every node once, against
+// the floors as of the start of the pass: readings from the same instant
+// on other nodes are never compared. Lease bounds are honest about each
 // node's own timeline (margin, drift, measured ordering lag), but nodes
 // that adopt rounds they did not propose have no lag measurement of their
 // own, so simultaneous cross-node comparison would demand a worst-case
 // bound the lease plane never promises.
 type monitor struct {
-	floor    time.Duration         // max of GroupClock−Bound from prior passes
-	lastSeen map[int]time.Duration // per node: last GroupClock served
-	m        Metrics
+	orc  *oracle.Oracle
+	snap oracle.Snapshot
+	m    Metrics
 	// reconvergence bookkeeping
 	faultEnd      time.Duration // absolute time the last fault clears
 	reconvergedAt time.Duration // earliest all-serving sample after faultEnd
 }
 
 func newMonitor() *monitor {
-	return &monitor{lastSeen: make(map[int]time.Duration), reconvergedAt: -1}
+	return &monitor{orc: oracle.New(), reconvergedAt: -1}
 }
 
-// sample reads every node's lease between kernel steps. One call is one
-// pass: readings are compared against the floor as of the previous pass
-// (the happened-before discipline above), then this pass's lower bounds
-// are folded into the floor for the next one.
+// sample reads every node's lease between kernel steps, as one pass.
 func (mo *monitor) sample(d *deployment, now time.Duration) {
 	var (
 		allUp    = true
 		okCount  int
-		passMax  = mo.floor // highest GroupClock−Bound seen this pass
 		minClock time.Duration
 		maxClock time.Duration
 	)
-	for i, nd := range d.nodes {
+	mo.orc.Snapshot(&mo.snap)
+	for _, nd := range d.nodes {
 		r, ok := nd.svc.LeaseRead()
 		if !ok {
 			if nd.up {
@@ -95,16 +93,7 @@ func (mo *monitor) sample(d *deployment, now time.Duration) {
 			continue
 		}
 		mo.m.Samples++
-		if last, seen := mo.lastSeen[i]; seen && r.GroupClock < last {
-			mo.m.Regressions++
-		}
-		mo.lastSeen[i] = r.GroupClock
-		if r.GroupClock+r.Bound < mo.floor {
-			mo.m.StalenessViolations++
-		}
-		if lo := r.GroupClock - r.Bound; lo > passMax {
-			passMax = lo
-		}
+		mo.orc.Check(mo.orc.Key(uint32(d.group), uint32(nd.id)), r.GroupClock, r.Bound, &mo.snap)
 		bound := float64(r.Bound) / float64(time.Microsecond)
 		if bound > mo.m.MaxBoundUS {
 			mo.m.MaxBoundUS = bound
@@ -118,7 +107,6 @@ func (mo *monitor) sample(d *deployment, now time.Duration) {
 		}
 		okCount++
 	}
-	mo.floor = passMax
 	if okCount > 1 {
 		if spread := float64(maxClock-minClock) / float64(time.Microsecond); spread > mo.m.MaxSpreadUS {
 			mo.m.MaxSpreadUS = spread
@@ -138,6 +126,7 @@ func (mo *monitor) finish() {
 	if mo.m.Samples > 0 {
 		mo.m.MeanBoundUS /= float64(mo.m.Samples)
 	}
+	mo.m.StalenessViolations, mo.m.Regressions = mo.orc.Counts()
 }
 
 // Run executes one cell: build the deployment, arm the schedule, drive
@@ -163,42 +152,11 @@ func Run(sc Scenario, nodes int, seed int64) (Result, error) {
 	}
 	d.installSchedule(start)
 
-	// Prime the lease plane: one refresh wave, then wait until every node
-	// serves, so the monitor starts from a converged baseline. The budget
-	// scales with the refresh cadence — WAN scenarios pace refreshes (and
-	// thus rounds) hundreds of ms apart.
-	d.refreshTick()
-	primeDeadline := k.Now() + 200*time.Millisecond + 20*sc.refreshEvery()
-	for k.Now() < primeDeadline {
-		k.RunFor(sc.refreshEvery())
-		d.refreshTick()
-		if primed(d) {
-			break
-		}
-	}
-	if !primed(d) {
+	if !prime(k, sc.refreshEvery(), d.refreshTick, func() bool { return primed(d) }) {
 		return Result{}, fmt.Errorf("campaign: %q/%d: lease plane did not prime", sc.Name, nodes)
 	}
-
-	// Main loop: refresh cadence and monitor sampling between kernel steps.
-	refreshEvery := sc.refreshEvery()
-	sampleEvery := sc.sampleEvery()
-	var tick func()
-	tick = func() {
-		d.refreshTick()
-		if k.Now()+refreshEvery <= end {
-			k.After(refreshEvery, tick)
-		}
-	}
-	k.After(refreshEvery, tick)
-	for k.Now() < end {
-		step := sampleEvery
-		if left := end - k.Now(); left < step {
-			step = left
-		}
-		k.RunFor(step)
-		mo.sample(d, k.Now())
-	}
+	every(k, sc.refreshEvery(), end, d.refreshTick)
+	sampleUntil(k, sc.sampleEvery(), end, func(now time.Duration) { mo.sample(d, now) })
 	mo.finish()
 
 	res.Metrics = mo.m
@@ -208,6 +166,48 @@ func Run(sc Scenario, nodes int, seed int64) (Result, error) {
 	gather(d, &res.Metrics)
 	res.Pass, res.Failures = gate(sc, mo, res.Metrics)
 	return res, nil
+}
+
+// prime runs one refresh wave, then more every period until primed holds,
+// so the monitor starts from a converged baseline. The budget scales with
+// the refresh cadence — WAN scenarios pace refreshes (and thus rounds)
+// hundreds of ms apart.
+func prime(k *sim.Kernel, period time.Duration, refresh func(), primed func() bool) bool {
+	refresh()
+	deadline := k.Now() + 200*time.Millisecond + 20*period
+	for k.Now() < deadline {
+		k.RunFor(period)
+		refresh()
+		if primed() {
+			break
+		}
+	}
+	return primed()
+}
+
+// every schedules fn each period from now until end.
+func every(k *sim.Kernel, period, end time.Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		if k.Now()+period <= end {
+			k.After(period, tick)
+		}
+	}
+	k.After(period, tick)
+}
+
+// sampleUntil runs the kernel to end in steps of at most period, calling
+// sample between steps.
+func sampleUntil(k *sim.Kernel, period, end time.Duration, sample func(now time.Duration)) {
+	for k.Now() < end {
+		step := period
+		if left := end - k.Now(); left < step {
+			step = left
+		}
+		k.RunFor(step)
+		sample(k.Now())
+	}
 }
 
 // primed reports whether every node serves a lease.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cts/internal/oracle"
 	"cts/internal/replication"
 	"cts/internal/transport"
 )
@@ -22,17 +23,17 @@ func enableLeases(h *coreHarness, cfg LeaseConfig) {
 	h.k.RunFor(time.Millisecond)
 }
 
-// leaseProbe replays the load-generator's lease invariants in virtual time:
-// samples are taken sequentially between kernel steps, so every sample
-// happened-before the next and the checks are exact.
+// leaseProbe replays the load-generator's lease invariants in virtual time
+// through internal/oracle: samples are taken sequentially between kernel
+// steps, so every sample happened-before the next and the checks are exact.
 type leaseProbe struct {
-	t     *testing.T
-	floor time.Duration                      // max (group − bound) seen
-	last  map[transport.NodeID]time.Duration // per-replica served floor
+	t    *testing.T
+	orc  *oracle.Oracle
+	snap oracle.Snapshot
 }
 
 func newLeaseProbe(t *testing.T) *leaseProbe {
-	return &leaseProbe{t: t, last: make(map[transport.NodeID]time.Duration)}
+	return &leaseProbe{t: t, orc: oracle.New()}
 }
 
 // sample reads one replica's lease and validates it against everything
@@ -46,16 +47,14 @@ func (p *leaseProbe) sample(h *coreHarness, id transport.NodeID) (LeaseReading, 
 	if r.Bound <= 0 {
 		p.t.Fatalf("replica %v: non-positive bound %v", id, r.Bound)
 	}
-	if r.GroupClock+r.Bound < p.floor {
+	p.orc.Snapshot(&p.snap)
+	v := p.orc.Check(p.orc.Key(0, uint32(id)), r.GroupClock, r.Bound, &p.snap)
+	if v.Kind&oracle.Stale != 0 {
 		p.t.Fatalf("replica %v: stale interval [%v, %v] below floor %v",
-			id, r.GroupClock-r.Bound, r.GroupClock+r.Bound, p.floor)
+			id, r.GroupClock-r.Bound, r.GroupClock+r.Bound, v.Floor)
 	}
-	if last, seen := p.last[id]; seen && r.GroupClock < last {
-		p.t.Fatalf("replica %v: group clock regressed %v -> %v", id, last, r.GroupClock)
-	}
-	p.last[id] = r.GroupClock
-	if f := r.GroupClock - r.Bound; f > p.floor {
-		p.floor = f
+	if v.Kind&oracle.Regressed != 0 {
+		p.t.Fatalf("replica %v: group clock regressed %v -> %v", id, v.Floor, r.GroupClock)
 	}
 	return r, true
 }

@@ -6,6 +6,7 @@ import (
 
 	"cts/internal/campaign"
 	"cts/internal/core"
+	"cts/internal/oracle"
 	"cts/internal/replication"
 	"cts/internal/transport"
 )
@@ -16,17 +17,17 @@ import (
 // and across the reconfiguration no sampled timestamp may fall outside its
 // staleness bound or regress the group clock.
 
-// leaseSampler accumulates sequential lease reads and checks the two
-// client-visible invariants. Samples are taken between kernel steps, so
-// each one happened-before the next and the floor comparison is exact.
+// leaseSampler checks the two client-visible invariants through
+// internal/oracle. Samples are taken between kernel steps, so each one
+// happened-before the next and the floor comparison is exact.
 type leaseSampler struct {
-	t     *testing.T
-	floor time.Duration
-	last  map[transport.NodeID]time.Duration
+	t    *testing.T
+	orc  *oracle.Oracle
+	snap oracle.Snapshot
 }
 
 func newLeaseSampler(t *testing.T) *leaseSampler {
-	return &leaseSampler{t: t, last: make(map[transport.NodeID]time.Duration)}
+	return &leaseSampler{t: t, orc: oracle.New()}
 }
 
 func (p *leaseSampler) sample(c *Cluster, id transport.NodeID) (core.LeaseReading, bool) {
@@ -35,16 +36,14 @@ func (p *leaseSampler) sample(c *Cluster, id transport.NodeID) (core.LeaseReadin
 	if !ok {
 		return r, false
 	}
-	if r.GroupClock+r.Bound < p.floor {
+	p.orc.Snapshot(&p.snap)
+	v := p.orc.Check(p.orc.Key(0, uint32(id)), r.GroupClock, r.Bound, &p.snap)
+	if v.Kind&oracle.Stale != 0 {
 		p.t.Fatalf("replica %v: timestamp outside staleness bound: interval [%v, %v] below floor %v",
-			id, r.GroupClock-r.Bound, r.GroupClock+r.Bound, p.floor)
+			id, r.GroupClock-r.Bound, r.GroupClock+r.Bound, v.Floor)
 	}
-	if last, seen := p.last[id]; seen && r.GroupClock < last {
-		p.t.Fatalf("replica %v: group clock regressed %v -> %v", id, last, r.GroupClock)
-	}
-	p.last[id] = r.GroupClock
-	if f := r.GroupClock - r.Bound; f > p.floor {
-		p.floor = f
+	if v.Kind&oracle.Regressed != 0 {
+		p.t.Fatalf("replica %v: group clock regressed %v -> %v", id, v.Floor, r.GroupClock)
 	}
 	return r, true
 }

@@ -24,7 +24,6 @@ package timeserve
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"syscall"
 	"unsafe"
 )
@@ -466,41 +465,4 @@ func (c *Client) mmsgBurst(b *clientBurst, target int, base uint64, dgrams, k in
 		return nil, true, fmt.Errorf("timeserve: burst to %s: %w", c.cfg.Targets[target], ErrNoReplica)
 	}
 	return c.resps, true, nil
-}
-
-// steadySource is the fixed lease the allocation probe serves from.
-type steadySource struct{}
-
-func (steadySource) LeaseRead() (Reading, bool) {
-	return Reading{GroupClock: 1 << 40, Bound: 1 << 16, Epoch: 3}, true
-}
-
-// ServeAllocsPerOp measures heap allocations per drain-serve cycle over a
-// synthetic full ring (mmsgRecvMsgs datagrams × MaxBatch queries), the
-// dynamic counterpart of the static allocfree proof on batchLoop/serveBatch.
-// ctsload records it in the bench row and `make loadtest` gates it at 0.
-// Returns -1 on builds without the batched path.
-func ServeAllocsPerOp() float64 {
-	s := &Server{cfg: Config{Node: 1, Source: steadySource{}}}
-	sh := &shard{}
-	r := newMmsgRing(sh)
-	var req [ReqSize]byte
-	for i := 0; i < mmsgRecvMsgs; i++ {
-		for q := 0; q < MaxBatch; q++ {
-			PutRequest(req[:], Request{Nonce: uint64(i*MaxBatch + q)})
-			copy(r.rbuf[i*mmsgRecvSlot+q*ReqSize:], req[:])
-		}
-		r.rhdr[i].length = MaxBatch * ReqSize
-		r.rhdr[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
-	}
-	r.nrecv = mmsgRecvMsgs
-	const iters = 200
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for it := 0; it < iters; it++ {
-		s.serveBatch(sh, r)
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / iters
 }

@@ -25,9 +25,6 @@ func (s *Server) serveBatched(pc net.PacketConn, sh *shard) bool { return false 
 //cts:allocfree
 func (s *Server) serveBatch(sh *shard, r *mmsgRing) {}
 
-// ServeAllocsPerOp reports -1: no batched path to measure on this build.
-func ServeAllocsPerOp() float64 { return -1 }
-
 // clientBurst is the client-side batched-I/O state on builds that have none.
 type clientBurst struct{}
 
