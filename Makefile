@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-concurrent loadtest campaign-smoke campaign federation-smoke
+.PHONY: check fmt vet lint build test race bench bench-concurrent equivalence loadtest campaign-smoke campaign federation-smoke
 
 # check is the CI gate: formatting, vet, the project linter, build, the
-# race-enabled tests, the batched-round smoke, the timeserve load smoke, the
-# campaign smoke and the federation smoke.
-check: fmt vet lint build race bench-concurrent loadtest campaign-smoke federation-smoke
+# race-enabled tests, the deterministic-bench equivalence proof (which also
+# runs the batched-round, campaign and federation smokes) and the timeserve
+# load smoke.
+check: fmt vet lint build race equivalence loadtest
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -44,6 +45,21 @@ bench:
 # BENCH_fig5_concurrent.json.
 bench-concurrent:
 	$(GO) run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
+
+# equivalence is the proof that a change kept behaviour: it regenerates the
+# four deterministic benches (Figure 5, the batched-round smoke, the campaign
+# smoke and the federation sweep) into a temp dir, each self-gating as in its
+# own target, and compares each byte for byte with the committed file.
+DETERMINISTIC = BENCH_fig5.json BENCH_fig5_concurrent.json BENCH_campaign_smoke.json BENCH_federation.json
+
+equivalence:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	$(GO) run ./cmd/ctsbench -exp fig5 -trace "$$tmp/fig5.trace.jsonl" -json "$$tmp/BENCH_fig5.json"; \
+	$(GO) run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent "$$tmp/BENCH_fig5_concurrent.json"; \
+	$(GO) run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json "$$tmp/BENCH_campaign_smoke.json"; \
+	$(GO) run ./cmd/ctsbench -exp federation -jsonFederation "$$tmp/BENCH_federation.json"; \
+	for f in $(DETERMINISTIC); do cmp "$$tmp/$$f" "$$f"; done; \
+	echo "deterministic benches match the committed files"
 
 # loadtest smokes the external time-serving plane twice. The race-enabled
 # run checks the lease invariants (staleness bound, per-replica monotonicity)

@@ -35,13 +35,22 @@ echo "== go test -race (experiments under -orderer=seq) =="
 # skip themselves via totemOnly.
 go test -race -count=1 ./internal/experiment -orderer=seq
 
-echo "== ctsbench fig5 (BENCH_fig5.json) =="
-go run ./cmd/ctsbench -exp fig5 -trace fig5.trace.jsonl -json BENCH_fig5.json
-
-echo "== ctsbench fig5concurrent (BENCH_fig5_concurrent.json) =="
-# Self-gating: exits nonzero unless concurrent readers coalesced rounds and
-# their mean per-read overhead is at most half the single-reader overhead.
-go run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent BENCH_fig5_concurrent.json
+echo "== deterministic benches: regenerate and compare with the committed files =="
+# The equivalence proof for a refactor: Figure 5, the batched-round smoke,
+# the campaign smoke (two 100-node cells) and the federation sweep run into a
+# temp dir, and each JSON must equal the committed file byte for byte. The
+# runs self-gate too: concurrent readers must coalesce rounds and at least
+# halve the single-reader overhead, and every campaign and federation cell
+# needs zero regressions, zero staleness violations and timely reconvergence.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/ctsbench -exp fig5 -trace "$tmp/fig5.trace.jsonl" -json "$tmp/BENCH_fig5.json"
+go run ./cmd/ctsbench -exp fig5concurrent -jsonConcurrent "$tmp/BENCH_fig5_concurrent.json"
+go run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json "$tmp/BENCH_campaign_smoke.json"
+go run ./cmd/ctsbench -exp federation -jsonFederation "$tmp/BENCH_federation.json"
+for f in BENCH_fig5.json BENCH_fig5_concurrent.json BENCH_campaign_smoke.json BENCH_federation.json; do
+	cmp "$tmp/$f" "$f"
+done
 
 echo "== ctsload smoke: lease invariants under race (BENCH_timeserve_race.json) =="
 go run -race ./cmd/ctsload -inprocess -duration 5s -min-qps 100000 -json BENCH_timeserve_race.json
@@ -60,17 +69,6 @@ echo "== ctsload forced-sequential fallback (-serve-io seq) =="
 # Batching force-disabled end to end: the sequential path must still hold
 # the invariants and meaningful throughput.
 go run ./cmd/ctsload -inprocess -duration 2s -dgrams 4 -serve-io seq -min-qps 100000 -json ""
-
-echo "== ctscampaign smoke (BENCH_campaign_smoke.json) =="
-# Two 100-node campaign cells, each self-gating on zero group-clock
-# regressions, zero staleness-bound violations and bounded reconvergence.
-go run ./cmd/ctscampaign -scenarios churn-storm,slow-clocks -nodes 100 -json BENCH_campaign_smoke.json
-
-echo "== ctsbench federation sweep (BENCH_federation.json) =="
-# Multi-group federation (E17): line topologies at 2/4/8 groups plus an
-# inter-group sever/heal cell. Self-gating — zero regressions, zero
-# cross-group staleness violations, seam skew under the ceiling.
-go run ./cmd/ctsbench -exp federation -jsonFederation BENCH_federation.json
 
 echo "== ctsload federated migrating clients =="
 # Two federated in-process groups; each worker migrates across them every

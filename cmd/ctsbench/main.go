@@ -384,10 +384,3 @@ func run(exp string, seed int64, full bool, trace, jsonOut string, readers int, 
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

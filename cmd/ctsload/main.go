@@ -582,7 +582,7 @@ func startGroup(gi, n, shards int, lease time.Duration, serveIO string, links []
 		opts := []cts.Option{
 			cts.WithRuntime(loop),
 			cts.WithTransport(tr),
-			cts.WithRingMembers(ring),
+			cts.WithMembers(ring),
 			cts.WithGroup(fedLoadGroupID(gi)),
 			cts.WithTimeServe(cts.TimeServeConfig{
 				Addr:        "127.0.0.1:0",

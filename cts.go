@@ -212,8 +212,6 @@ type options struct {
 	stack      *gcs.Stack
 	transport  transport.Transport
 	ring       []transport.NodeID
-	bootstrap  bool
-	bootSet    bool
 	group      wire.GroupID
 	style      replication.Style
 	app        replication.Application
@@ -260,22 +258,12 @@ func WithMembers(members []NodeID) Option {
 	return func(o *options) { o.ring = append([]NodeID(nil), members...) }
 }
 
-// WithRingMembers sets the initial component membership for a facade-built
-// stack.
-//
-// Deprecated: the membership is no longer tied to a ring; use WithMembers.
-func WithRingMembers(ring []NodeID) Option { return WithMembers(ring) }
-
 // WithOrderer selects and tunes the total-order protocol underneath a
 // facade-built stack (see OrdererOptions). Conflicts with WithStack, whose
 // stack already owns an orderer.
 func WithOrderer(opts OrdererOptions) Option {
 	return func(o *options) { o.order = opts; o.orderSet = true }
 }
-
-// WithBootstrap selects whether a facade-built stack forms the initial ring
-// directly (default: bootstrap unless WithRecovering(true)).
-func WithBootstrap(b bool) Option { return func(o *options) { o.bootstrap = b; o.bootSet = true } }
 
 // WithGroup sets the server group identifier. Default DefaultGroup.
 func WithGroup(g GroupID) Option { return func(o *options) { o.group = g } }
@@ -292,7 +280,8 @@ func WithApplication(app Application) Option { return func(o *options) { o.app =
 func WithClock(c HardwareClock) Option { return func(o *options) { o.clock = c } }
 
 // WithRecovering marks a replica that joins an existing group via state
-// transfer.
+// transfer. A facade-built stack bootstraps the initial membership unless
+// the replica is recovering.
 func WithRecovering(r bool) Option { return func(o *options) { o.recovering = r } }
 
 // WithCheckpointEvery sets the passive primary's checkpoint interval.
@@ -304,7 +293,10 @@ func WithOnStatus(fn func(Status)) Option { return func(o *options) { o.onStatus
 // WithCompensation selects the drift-compensation strategy (§3.3).
 func WithCompensation(c Compensation) Option { return func(o *options) { o.compensation = c } }
 
-// WithMeanDelay sets the per-round offset bias for CompMeanDelay.
+// WithMeanDelay declares the fabric's mean CCS delivery delay. Under
+// CompMeanDelay it is the per-round offset bias; under CompNone it widens
+// every lease's base staleness margin, so a fabric with non-trivial delivery
+// delay (a sequencer hop, WAN links) must declare it.
 func WithMeanDelay(d time.Duration) Option { return func(o *options) { o.meanDelay = d } }
 
 // WithExternalReference sets the reference clock and gain for CompExternal.
@@ -495,15 +487,12 @@ func New(opts ...Option) (*Service, error) {
 		if o.transport == nil {
 			return nil, errors.New("cts: WithStack or WithTransport is required")
 		}
-		if !o.bootSet {
-			o.bootstrap = !o.recovering
-		}
 		rec := o.obs.ForNode(uint32(o.transport.LocalID()))
 		st, err := gcs.New(gcs.Config{
 			Runtime:   o.runtime,
 			Transport: o.transport,
 			Members:   o.ring,
-			Bootstrap: o.bootstrap,
+			Bootstrap: !o.recovering,
 			Order:     o.order,
 			Obs:       rec,
 		})
@@ -776,3 +765,7 @@ func (s *Service) Stack() *gcs.Stack { return s.stack }
 
 // Manager exposes the replication manager.
 func (s *Service) Manager() *replication.Manager { return s.mgr }
+
+// TimeService exposes the core consistent time service, for harnesses that
+// drive the lease plane without the serving frontend.
+func (s *Service) TimeService() *core.TimeService { return s.svc }

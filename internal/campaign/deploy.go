@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"cts"
 	"cts/internal/core"
 	"cts/internal/faultinject"
 	"cts/internal/gcs"
 	"cts/internal/hwclock"
 	"cts/internal/obs"
 	"cts/internal/order"
-	"cts/internal/replication"
 	"cts/internal/sim"
 	"cts/internal/simnet"
 	"cts/internal/transport"
@@ -29,23 +29,13 @@ const maxRefreshers = 3
 // node is one deployed replica.
 type node struct {
 	id    transport.NodeID
-	stack *gcs.Stack
-	mgr   *replication.Manager
-	svc   *core.TimeService
+	svc   *cts.Service
 	clock hwclock.Clock
 	// up tracks the fault schedule's intent: false while the node is
 	// crashed or isolated, so the monitor knows not to demand service
 	// from it.
 	up bool
 }
-
-// nopApp is the replicated application of campaign nodes: the campaign
-// drives the lease plane directly, so no invocations ever arrive.
-type nopApp struct{}
-
-func (nopApp) Invoke(*replication.Ctx, string, []byte) []byte { return nil }
-func (nopApp) Snapshot() []byte                               { return nil }
-func (nopApp) Restore([]byte)                                 {}
 
 // deployment is one running cell: n replicas on nodes idBase+1..idBase+n.
 type deployment struct {
@@ -127,7 +117,7 @@ func buildOn(k *sim.Kernel, rec *obs.Recorder, sc Scenario, nodes int, seed int6
 		}
 	}
 	for _, nd := range d.nodes {
-		nd.stack.Start()
+		nd.svc.Stack().Start()
 	}
 	if err := d.settle(); err != nil {
 		return nil, err
@@ -159,32 +149,30 @@ func (d *deployment) addNode(id transport.NodeID, spec ClockSpec, members []tran
 	d.inj.Register(id, stack)
 	clock := hwclock.NewSim(d.k.Now,
 		hwclock.WithOffset(spec.Offset+d.skew), hwclock.WithDriftPPM(spec.DriftPPM))
-	mgr, err := replication.New(replication.Config{
-		Runtime: d.k,
-		Stack:   stack,
-		Group:   d.group,
-		Style:   replication.Active,
-		App:     nopApp{},
-		Obs:     d.rec.ForNode(uint32(id)),
-	})
+	// The facade's default application serves: the campaign drives the
+	// lease plane directly, so no invocations ever arrive.
+	svc, err := cts.New(
+		cts.WithRuntime(d.k),
+		cts.WithStack(stack),
+		cts.WithGroup(d.group),
+		cts.WithClock(clock),
+		cts.WithMeanDelay(d.sc.MeanDelay),
+		cts.WithObservability(d.rec),
+	)
 	if err != nil {
 		return err
 	}
-	svc, err := core.New(core.Config{Manager: mgr, Clock: clock, MeanDelay: d.sc.MeanDelay})
-	if err != nil {
-		return err
-	}
-	if err := svc.EnableLease(core.LeaseConfig{
+	if err := svc.TimeService().EnableLease(core.LeaseConfig{
 		// Leases stay valid for the whole cell: expiry is not under test,
 		// honest bound growth and epoch invalidation are.
 		Window: d.sc.Duration + 10*time.Second,
 	}); err != nil {
 		return err
 	}
-	if err := mgr.Start(); err != nil {
+	if err := svc.Start(); err != nil {
 		return err
 	}
-	d.nodes = append(d.nodes, &node{id: id, stack: stack, mgr: mgr, svc: svc, clock: clock, up: true})
+	d.nodes = append(d.nodes, &node{id: id, svc: svc, clock: clock, up: true})
 	return nil
 }
 
@@ -214,7 +202,7 @@ func (d *deployment) settle() error {
 
 func (d *deployment) allPrimary() bool {
 	for _, nd := range d.nodes {
-		if !nd.mgr.InPrimaryComponent() {
+		if !nd.svc.Manager().InPrimaryComponent() {
 			return false
 		}
 	}
@@ -299,7 +287,7 @@ func (d *deployment) installChurn(start time.Duration, ev FaultEvent) {
 		to := from + step*3/2
 		if d.orderer == order.KindInstant {
 			d.inj.StopAt(from, nd.id)
-			d.inj.StartAt(to, nd.stack.Start)
+			d.inj.StartAt(to, nd.svc.Stack().Start)
 		} else {
 			d.inj.IsolateWindow(from, to, nd.id)
 		}
@@ -345,12 +333,17 @@ func (d *deployment) lowIDs(k int) []transport.NodeID {
 	return d.ids()[:k]
 }
 
+// stop halts every replica: the caller-owned stack, then the service.
+func (d *deployment) stop() {
+	for _, nd := range d.nodes {
+		nd.svc.Stack().Stop()
+		nd.svc.Stop()
+	}
+}
+
 // close stops every replica and drains the loop, so campaign tests hold the
 // goroutine-leak gate.
 func (d *deployment) close() {
-	for _, nd := range d.nodes {
-		nd.stack.Stop()
-		nd.mgr.Stop()
-	}
+	d.stop()
 	d.k.RunFor(5 * time.Millisecond)
 }

@@ -325,10 +325,7 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 			a.Stop()
 		}
 		for _, d := range groups {
-			for _, nd := range d.nodes {
-				nd.stack.Stop()
-				nd.mgr.Stop()
-			}
+			d.stop()
 		}
 		k.RunFor(5 * time.Millisecond)
 	}()
@@ -351,8 +348,8 @@ func RunFederated(spec FedSpec, seed int64) (FedResult, error) {
 		for _, nd := range d.nodes {
 			a, err := federation.New(federation.Config{
 				Runtime:       k,
-				Service:       nd.svc,
-				Manager:       nd.mgr,
+				Service:       nd.svc.TimeService(),
+				Manager:       nd.svc.Manager(),
 				Clock:         nd.clock,
 				Link:          fabric.Link(gid),
 				Group:         gid,

@@ -37,6 +37,24 @@ func concurrentReaders(h *coreHarness, ids []transport.NodeID, readers, reads in
 	return values, finished
 }
 
+// assertCompleteMonotone checks that every reader slot on every node
+// completed all its reads and that each slot's sequence never regressed.
+func assertCompleteMonotone(t *testing.T, values map[transport.NodeID][][]time.Duration, reads int) {
+	t.Helper()
+	for id, slots := range values {
+		for slot, seq := range slots {
+			if len(seq) != reads {
+				t.Fatalf("node %v reader %d completed %d/%d reads", id, slot, len(seq), reads)
+			}
+			for j := 1; j < len(seq); j++ {
+				if seq[j] < seq[j-1] {
+					t.Fatalf("node %v reader %d regressed: %v then %v", id, slot, seq[j-1], seq[j])
+				}
+			}
+		}
+	}
+}
+
 // assertSameSequences checks that two replicas decided identical per-thread
 // group-clock sequences, comparing the common prefix of each reader slot.
 func assertSameSequences(t *testing.T, a, b transport.NodeID, va, vb [][]time.Duration) {
@@ -89,18 +107,7 @@ func TestConcurrentReadsCoalesce(t *testing.T) {
 
 	assertSameSequences(t, 1, 2, values[1], values[2])
 	assertSameSequences(t, 1, 3, values[1], values[3])
-	for _, id := range ring {
-		for slot, seq := range values[id] {
-			if len(seq) != reads {
-				t.Fatalf("node %v reader %d completed %d/%d reads", id, slot, len(seq), reads)
-			}
-			for j := 1; j < len(seq); j++ {
-				if seq[j] < seq[j-1] {
-					t.Fatalf("node %v reader %d regressed: %v then %v", id, slot, seq[j-1], seq[j])
-				}
-			}
-		}
-	}
+	assertCompleteMonotone(t, values, reads)
 
 	var coalesced, batches, entries uint64
 	for _, id := range ring {
@@ -118,8 +125,9 @@ func TestConcurrentReadsCoalesce(t *testing.T) {
 }
 
 // TestConcurrentReadsDisableBatching is the A/B half of the determinism
-// claim: with batching off, the same concurrent workload still yields
-// identical per-thread sequences and sends no batch messages at all.
+// claim: with batching off, the same concurrent workload still completes
+// every read, yields identical monotone per-thread sequences and sends no
+// batch messages at all.
 func TestConcurrentReadsDisableBatching(t *testing.T) {
 	h := newCoreHarness(t, 42)
 	ring := []transport.NodeID{1, 2, 3}
@@ -148,6 +156,7 @@ func TestConcurrentReadsDisableBatching(t *testing.T) {
 	}
 	assertSameSequences(t, 1, 2, values[1], values[2])
 	assertSameSequences(t, 1, 3, values[1], values[3])
+	assertCompleteMonotone(t, values, reads)
 	for _, id := range ring {
 		if b := h.counter(id, "core.batches_sent"); b != 0 {
 			t.Fatalf("node %v sent %d batches with batching disabled", id, b)

@@ -72,8 +72,10 @@ type Config struct {
 	Clock hwclock.Clock
 	// Compensation selects the drift strategy; default CompNone.
 	Compensation Compensation
-	// MeanDelay is the per-round offset bias for CompMeanDelay.
-	// Default 75µs (≈ the testbed's CCS ordering delay).
+	// MeanDelay is the fabric's mean CCS delivery delay. Under
+	// CompMeanDelay it is the per-round offset bias (default 75µs, ≈ the
+	// testbed's CCS ordering delay). Under CompNone it widens every lease's
+	// base staleness margin to max(MeanDelay, 75µs) plus clock granularity.
 	MeanDelay time.Duration
 	// External is the reference clock for CompExternal.
 	External hwclock.Clock

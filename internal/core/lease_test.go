@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cts/internal/hwclock"
 	"cts/internal/oracle"
 	"cts/internal/replication"
 	"cts/internal/transport"
@@ -72,6 +73,65 @@ func TestLeaseConfigValidate(t *testing.T) {
 	}
 	if cfg.DriftPPM != 100 {
 		t.Fatalf("default DriftPPM = %v, want 100", cfg.DriftPPM)
+	}
+}
+
+// TestLeaseMarginCompNone pins the uncompensated lease margin: a fresh
+// lease's bound carries clock granularity plus max(MeanDelay,
+// defaultLeaseSlack) on top of the measured ordering lag, so a fabric that
+// declares its delivery delay (campaign Scenario.MeanDelay) widens every
+// bound by it. Under CompMeanDelay the offset bias cancels the adoption lag
+// and no slack is added.
+func TestLeaseMarginCompNone(t *testing.T) {
+	cases := []struct {
+		name  string
+		comp  Compensation
+		mean  time.Duration
+		slack time.Duration
+	}{
+		{"none-default", CompNone, 0, defaultLeaseSlack},
+		{"none-below-default", CompNone, 20 * time.Microsecond, defaultLeaseSlack},
+		{"none-declared", CompNone, 5 * time.Millisecond, 5 * time.Millisecond},
+		{"mean-delay", CompMeanDelay, 5 * time.Millisecond, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newCoreHarness(t, 31)
+			for _, id := range serverIDs {
+				h.addStack(id, serverIDs, true)
+			}
+			for _, id := range serverIDs {
+				h.addReplica(id, replication.Active, false, h.simClock(0, 0), func(c *Config) {
+					c.Compensation = tc.comp
+					c.MeanDelay = tc.mean
+				})
+			}
+			for _, s := range h.stacks {
+				s.Start()
+			}
+			h.k.RunFor(3 * time.Millisecond)
+			enableLeases(h, LeaseConfig{Window: time.Second})
+			h.svcs[1].RefreshLease()
+			h.k.RunFor(5 * time.Millisecond)
+			for _, id := range serverIDs {
+				svc := h.svcs[id]
+				snap := svc.lease.snap.Load()
+				if snap == nil {
+					t.Fatalf("replica %v published no lease", id)
+				}
+				want := hwclock.GranularityOf(svc.clock) + tc.slack
+				if got := snap.margin - svc.lease.lagEst; got != want {
+					t.Fatalf("replica %v: base margin %v, want granularity + %v = %v", id, got, tc.slack, want)
+				}
+				r, ok := svc.LeaseRead()
+				if !ok {
+					t.Fatalf("replica %v serves no lease", id)
+				}
+				if r.Bound < want+svc.lease.lagEst {
+					t.Fatalf("replica %v: bound %v below margin %v + lag %v", id, r.Bound, want, svc.lease.lagEst)
+				}
+			}
+		})
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // This file exercises the batched-CCS plane on the simulated testbed: many
 // concurrent reader threads per replica must coalesce rounds into shared
 // batch messages while every replica still decides identical per-thread
-// read sequences, with and without batching, and across a fault-injected
-// replica crash landing while batches are in flight.
+// read sequences, including across a fault-injected replica crash landing
+// while batches are in flight.
 
 // spawnReaders spawns reader threads on every replica of c in identical
 // order (so thread identifiers agree across replicas); the thread in slot r
@@ -63,63 +63,54 @@ func assertSamePrefixes(t *testing.T, a, b transport.NodeID, va, vb [][]time.Dur
 }
 
 // TestConcurrentReadersDeterminism runs the concurrent-reader workload on
-// the full testbed twice — batching on and batching off — and checks that
-// in both configurations every replica decides identical per-thread
-// sequences, that coalescing engages only when enabled, and that the
-// sequences each replica returns are monotone.
+// the full testbed and checks that every replica decides identical
+// per-thread sequences while coalescing engages. The batching-off half of
+// the determinism claim is core's TestConcurrentReadsDisableBatching.
 func TestConcurrentReadersDeterminism(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		c, err := NewCluster(ClusterConfig{
-			Seed:            11,
-			Topology:        testbedTopology(),
-			Style:           replication.Active,
-			Mode:            ModeCTS,
-			DisableBatching: disable,
-			Observe:         true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := []transport.NodeID{1, 2, 3}
-		const readers, ops = 4, 6
-		values, finished := spawnReaders(c, ids, readers,
-			func(transport.NodeID) int { return ops })
-		if !c.RunUntil(10*time.Second, func() bool {
-			for _, id := range ids {
-				if *finished[id] != readers {
-					return false
-				}
-			}
-			return true
-		}) {
-			t.Fatalf("disable=%v: readers never finished", disable)
-		}
-		assertSamePrefixes(t, 1, 2, values[1], values[2])
-		assertSamePrefixes(t, 1, 3, values[1], values[3])
+	c, err := NewCluster(ClusterConfig{
+		Seed:     11,
+		Topology: testbedTopology(),
+		Style:    replication.Active,
+		Mode:     ModeCTS,
+		Observe:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []transport.NodeID{1, 2, 3}
+	const readers, ops = 4, 6
+	values, finished := spawnReaders(c, ids, readers,
+		func(transport.NodeID) int { return ops })
+	if !c.RunUntil(10*time.Second, func() bool {
 		for _, id := range ids {
-			for slot, seq := range values[id] {
-				if len(seq) != ops {
-					t.Fatalf("disable=%v: node %v reader %d completed %d/%d reads",
-						disable, id, slot, len(seq), ops)
-				}
-				for j := 1; j < len(seq); j++ {
-					if seq[j] < seq[j-1] {
-						t.Fatalf("disable=%v: node %v reader %d regressed %v -> %v",
-							disable, id, slot, seq[j-1], seq[j])
-					}
+			if *finished[id] != readers {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("readers never finished")
+	}
+	assertSamePrefixes(t, 1, 2, values[1], values[2])
+	assertSamePrefixes(t, 1, 3, values[1], values[3])
+	for _, id := range ids {
+		for slot, seq := range values[id] {
+			if len(seq) != ops {
+				t.Fatalf("node %v reader %d completed %d/%d reads", id, slot, len(seq), ops)
+			}
+			for j := 1; j < len(seq); j++ {
+				if seq[j] < seq[j-1] {
+					t.Fatalf("node %v reader %d regressed %v -> %v", id, slot, seq[j-1], seq[j])
 				}
 			}
 		}
-		var batches uint64
-		for _, id := range ids {
-			batches += clusterCounter(c, id, "core.batches_sent")
-		}
-		if disable && batches != 0 {
-			t.Fatalf("batching disabled but %d batch messages were sent", batches)
-		}
-		if !disable && batches == 0 {
-			t.Fatal("batching enabled but no batch messages were sent")
-		}
+	}
+	var batches uint64
+	for _, id := range ids {
+		batches += clusterCounter(c, id, "core.batches_sent")
+	}
+	if batches == 0 {
+		t.Fatal("batching enabled but no batch messages were sent")
 	}
 }
 

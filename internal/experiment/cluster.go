@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"cts"
 	"cts/internal/baseline"
 	"cts/internal/campaign"
 	"cts/internal/core"
@@ -67,9 +68,6 @@ type ClusterConfig struct {
 	// AgreedCCS selects agreed instead of safe delivery for CCS messages
 	// (ModeCTS only; ablation of the paper's safe-delivery requirement).
 	AgreedCCS bool
-	// DisableBatching turns off CCS round coalescing (ModeCTS only; used by
-	// determinism A/B tests and the concurrent-reader experiment).
-	DisableBatching bool
 	// Compensation options (ModeCTS only).
 	Compensation core.Compensation
 	MeanDelay    time.Duration
@@ -103,7 +101,7 @@ type Cluster struct {
 
 	Stacks map[transport.NodeID]*gcs.Stack
 	Mgrs   map[transport.NodeID]*replication.Manager
-	Svcs   map[transport.NodeID]*core.TimeService
+	Svcs   map[transport.NodeID]*cts.Service
 	PBs    map[transport.NodeID]*baseline.PrimaryBackup
 	Apps   map[transport.NodeID]*ReaderApp
 
@@ -146,7 +144,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Net:       simnet.NewNetwork(k, model),
 		Stacks:    make(map[transport.NodeID]*gcs.Stack),
 		Mgrs:      make(map[transport.NodeID]*replication.Manager),
-		Svcs:      make(map[transport.NodeID]*core.TimeService),
+		Svcs:      make(map[transport.NodeID]*cts.Service),
 		PBs:       make(map[transport.NodeID]*baseline.PrimaryBackup),
 		Apps:      make(map[transport.NodeID]*ReaderApp),
 		Reports:   make(map[transport.NodeID][]core.RoundReport),
@@ -219,6 +217,22 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		rng:   rand.New(rand.NewSource(c.cfg.Seed*1000 + int64(id))),
 		clock: clock,
 	}
+	if c.cfg.Mode == ModeCTS {
+		svc, err := c.newService(id, clock, app, recovering)
+		if err != nil {
+			return err
+		}
+		app.read = svc.Gettimeofday
+		if err := svc.Start(); err != nil {
+			return err
+		}
+		c.Svcs[id] = svc
+		c.Mgrs[id] = svc.Manager()
+		c.Apps[id] = app
+		return nil
+	}
+	// The baselines run no time service, so they get a bare replication
+	// manager: core would add checkpoint hooks and §3.2 special rounds.
 	mgr, err := replication.New(replication.Config{
 		Runtime:         c.K,
 		Stack:           c.Stacks[id],
@@ -233,33 +247,6 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 		return err
 	}
 	switch c.cfg.Mode {
-	case ModeCTS:
-		ccfg := core.Config{
-			Manager:         mgr,
-			Clock:           clock,
-			AgreedCCS:       c.cfg.AgreedCCS,
-			DisableBatching: c.cfg.DisableBatching,
-			Compensation:    c.cfg.Compensation,
-			MeanDelay:       c.cfg.MeanDelay,
-			ExternalGain:    c.cfg.ExternalGain,
-			OnRound: func(r core.RoundReport) {
-				c.Reports[id] = append(c.Reports[id], r)
-			},
-		}
-		if c.cfg.Compensation == core.CompExternal {
-			maxSkew := c.cfg.ExternalSkew
-			if maxSkew == 0 {
-				maxSkew = 500 * time.Microsecond
-			}
-			ccfg.External = timesource.New(c.K.Now, c.cfg.Seed+int64(id),
-				timesource.WithMaxSkew(maxSkew))
-		}
-		svc, err := core.New(ccfg)
-		if err != nil {
-			return err
-		}
-		c.Svcs[id] = svc
-		app.read = func(ctx *replication.Ctx) time.Duration { return svc.Gettimeofday(ctx) }
 	case ModePrimaryBackup:
 		pb, err := baseline.NewPrimaryBackup(mgr, clock, func(r baseline.Report) {
 			c.PBReports[id] = append(c.PBReports[id], r)
@@ -281,28 +268,50 @@ func (c *Cluster) addReplica(id transport.NodeID, spec ClockSpec, recovering boo
 	return nil
 }
 
+// newService assembles one CTS replica through the public facade, on the
+// cluster's own stack for node id.
+func (c *Cluster) newService(id transport.NodeID, clock hwclock.Clock, app *ReaderApp, recovering bool) (*cts.Service, error) {
+	var external hwclock.Clock
+	if c.cfg.Compensation == core.CompExternal {
+		maxSkew := c.cfg.ExternalSkew
+		if maxSkew == 0 {
+			maxSkew = 500 * time.Microsecond
+		}
+		external = timesource.New(c.K.Now, c.cfg.Seed+int64(id),
+			timesource.WithMaxSkew(maxSkew))
+	}
+	return cts.New(
+		cts.WithRuntime(c.K),
+		cts.WithStack(c.Stacks[id]),
+		cts.WithGroup(ServerGroup),
+		cts.WithStyle(c.cfg.Style),
+		cts.WithApplication(app),
+		cts.WithClock(clock),
+		cts.WithRecovering(recovering),
+		cts.WithCheckpointEvery(c.cfg.CheckpointEvery),
+		cts.WithObservability(c.Obs),
+		cts.WithAgreedCCS(c.cfg.AgreedCCS),
+		cts.WithCompensation(c.cfg.Compensation),
+		cts.WithMeanDelay(c.cfg.MeanDelay),
+		cts.WithExternalReference(external, c.cfg.ExternalGain),
+		cts.WithOnRound(func(r core.RoundReport) {
+			c.Reports[id] = append(c.Reports[id], r)
+		}),
+	)
+}
+
 // AddRecoveringReplica joins a fresh replica (new clock) on the next node id
 // and returns its id. It recovers state through GET_STATE (§3.2).
 func (c *Cluster) AddRecoveringReplica(spec ClockSpec) (transport.NodeID, error) {
 	id := transport.NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, id)
-	s, err := gcs.New(gcs.Config{
-		Runtime:   c.K,
-		Transport: c.Net.Endpoint(id),
-		Members:   c.nodes,
-		Bootstrap: false,
-		Order:     order.Options{Kind: c.cfg.Topology.Orderer},
-		Obs:       c.Obs.ForNode(uint32(id)),
-	})
-	if err != nil {
+	if err := c.addStack(id, false); err != nil {
 		return 0, err
 	}
-	c.Stacks[id] = s
-	c.Inject.Register(id, s)
 	if err := c.addReplica(id, spec, true); err != nil {
 		return 0, err
 	}
-	s.Start()
+	c.Stacks[id].Start()
 	return id, nil
 }
 

@@ -74,7 +74,7 @@ func leaseCluster(t *testing.T, seed int64, style replication.Style, specs []Clo
 		t.Fatal(err)
 	}
 	for _, svc := range c.Svcs {
-		if err := svc.EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
+		if err := svc.TimeService().EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestLeaseMembershipChangeInvalidates(t *testing.T) {
 
 	// Refresh under the grown group: everyone serves again, epoch advanced,
 	// and the newcomer's 100s-fast clock never leaks into the group clock.
-	if err := c.Svcs[joined].EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
+	if err := c.Svcs[joined].TimeService().EnableLease(core.LeaseConfig{Window: 30 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	c.K.RunFor(time.Millisecond)

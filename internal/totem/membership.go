@@ -260,27 +260,6 @@ func sameCandidates(j *JoinMsg, cand []transport.NodeID, ourFails map[transport.
 	return true
 }
 
-func nodesEqual(a, b []transport.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func subsetOf(sub, super []transport.NodeID) bool {
-	for _, id := range sub {
-		if !containsNode(super, id) {
-			return false
-		}
-	}
-	return true
-}
-
 func setToSorted(set map[transport.NodeID]bool) []transport.NodeID {
 	out := make([]transport.NodeID, 0, len(set))
 	for id := range set {

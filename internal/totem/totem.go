@@ -830,10 +830,3 @@ func dedupSorted(in []uint64) []uint64 {
 	}
 	return out
 }
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

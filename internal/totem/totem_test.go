@@ -656,9 +656,6 @@ func TestHelperFunctions(t *testing.T) {
 	if successorIn([]transport.NodeID{1, 3, 5}, 5) != 1 {
 		t.Fatal("successorIn wrap")
 	}
-	if minU64(3, 7) != 3 || minU64(9, 2) != 2 {
-		t.Fatal("minU64")
-	}
 	r1 := RingID{Seq: 1, Rep: 2}
 	r2 := RingID{Seq: 1, Rep: 3}
 	r3 := RingID{Seq: 2, Rep: 0}
